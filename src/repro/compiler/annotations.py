@@ -159,7 +159,17 @@ def _place_cache_invalidations(
 def _common_postdominator(
     kernel: Kernel, pdom, blocks: Set[str]
 ) -> Optional[str]:
-    """Nearest real block postdominating every block in ``blocks``."""
+    """Nearest real block that postdominates every block in ``blocks`` and
+    is not one of them.
+
+    ``blocks`` are the blocks that reference a register, so each holds a
+    definition or a use of it; the invalidation belongs after the whole
+    live range, at a block every path leaves all of those references
+    through.  A member block that postdominates the others still holds a
+    reference, so it is never the answer.  The postdominators common to
+    all members are a suffix of any one member's postdominator chain, and
+    members come first in it, so the result does not depend on which
+    member the walk starts from (nor on set iteration order)."""
     common: Optional[FrozenSet[str]] = None
     for b in blocks:
         if b not in pdom:
@@ -168,23 +178,13 @@ def _common_postdominator(
         common = sets if common is None else (common & sets)
     if not common:
         return None
-    # Choose the nearest: the element of `common` with the largest
-    # postdominator set minus... walk from any block up the chain.
-    start = next(iter(blocks))
-    node: Optional[str] = start
-    while node is not None:
-        if node in common and node != start:
-            break
+    node = pdom.idom(next(iter(blocks)))
+    while node is not None and (node not in common or node in blocks):
         node = pdom.idom(node)
-    candidate = node
-    if candidate is None and start in common and len(blocks) == 1:
-        candidate = start
     # Skip the virtual exit node.
-    if candidate is not None and candidate not in {
-        b.label for b in kernel.blocks
-    }:
-        candidate = pdom.idom(candidate) if candidate in pdom else None
-    return candidate
+    if node is not None and node not in {b.label for b in kernel.blocks}:
+        node = pdom.idom(node)
+    return node
 
 
 def annotate_regions(

@@ -69,9 +69,6 @@ class RunResult:
     #: run predates the JIT or came from an old cache entry — read with
     #: ``getattr(result, "jit", {})`` when the result may be unpickled).
     jit: Dict[str, object] = field(default_factory=dict, repr=False)
-    #: cohort-batching observability (``sm0.shard1.batch.*`` paths; same
-    #: caveats as ``jit`` — read with ``getattr(result, "batch", {})``).
-    batch: Dict[str, object] = field(default_factory=dict, repr=False)
 
     @property
     def cycles(self) -> int:
@@ -272,14 +269,12 @@ class SuiteRunner:
         # fresh one built from the runner's config.
         watchdog = Watchdog(self.watchdog) if self.watchdog else None
         jit_out: Dict[str, object] = {}
-        batch_out: Dict[str, object] = {}
         try:
             stats = run_simulation(
                 cfg, compiled, workload, factory,
                 window_series=request.window_series,
                 watchdog=watchdog,
                 jit_out=jit_out,
-                batch_out=batch_out,
             )
         finally:
             if gc_was_enabled:
@@ -307,7 +302,6 @@ class SuiteRunner:
                 "total": t_done - t_start,
             },
             jit=jit_out,
-            batch=batch_out,
         )
 
     # -- grid execution --------------------------------------------------------

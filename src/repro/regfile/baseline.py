@@ -29,11 +29,6 @@ class BaselineRF(CTAOccupancyMixin, OperandStorage):
 
     name = "baseline"
 
-    #: CTA residency is monotone while a CTA has live warps (retirement
-    #: needs every warp exited), so cohort batching may share the
-    #: admission verdict across same-CTA warps and cache classifications.
-    lockstep_pure = True
-
     def __init__(self, entries_per_sm: int = 2048):
         super().__init__()
         self.entries_per_sm = entries_per_sm

@@ -124,12 +124,6 @@ class RFHStorage(CTAOccupancyMixin, OperandStorage):
 
     name = "rfh"
 
-    #: hierarchical allocation is per-warp state driven only by the warp's
-    #: own issues/writebacks; CTA residency is monotone while live — safe
-    #: for cohort batching (moot in the stock grid: RFH pairs with the
-    #: two-level scheduler, which refuses batching first).
-    lockstep_pure = True
-
     def __init__(self, compiled: CompiledKernel, orf_entries: int = 16,
                  orf_window: int = 16, mrf_entries_per_sm: int = 2048):
         super().__init__()

@@ -40,10 +40,6 @@ class RFVStorage(OperandStorage):
     #: and valve timing.
     parkable = False
 
-    #: same valve impurity: a shared or cached admission verdict would skip
-    #: the per-warp failed-attempt count that arms the valve.
-    lockstep_pure = False
-
     #: cycles of shard-wide allocation stall before the emergency valve
     #: opens (renaming deadlock avoidance; counted in ``rfv_overflow``).
     EMERGENCY_CYCLES = 2000

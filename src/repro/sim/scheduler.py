@@ -64,12 +64,6 @@ class WarpScheduler:
     #: issue attempt the seed scan would have made.
     demotes = False
 
-    #: True if ready-warp state is event-stable under this scheduler: it
-    #: never raises ``stall_until`` or otherwise reclassifies a ready warp
-    #: outside that warp's own events.  Cross-warp lockstep batching
-    #: (repro.sim.warpbatch) requires this; two-level demotion breaks it.
-    lockstep_safe = True
-
     def __init__(self, warps: List[Warp]):
         self.warps = warps
         for i, w in enumerate(warps):
@@ -404,7 +398,6 @@ class TwoLevelScheduler(WarpScheduler):
     seed's next-``order()`` promotion timing), not on every cycle."""
 
     demotes = True
-    lockstep_safe = False
     PROMOTE_PENALTY = 14
 
     def __init__(self, warps: List[Warp], active_size: int = 8):

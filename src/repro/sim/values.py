@@ -52,7 +52,6 @@ __all__ = [
     "FLOAT32_EXACT",
     "mix_hash",
     "mix_hash_lanes",
-    "mix_hash_lanes_matrix",
 ]
 
 _MASK32 = 0xFFFFFFFF
@@ -120,39 +119,6 @@ def mix_hash_lanes(prefix, suffix=(), n: int = WARP_WIDTH):
     for p in suffix:
         h = ((h ^ (p & _MASK32)) * _FNV_PRIME) & _MASK32
     return h
-
-
-def mix_hash_lanes_matrix(prefixes, suffix=(), n: int = WARP_WIDTH):
-    """Cohort-widened :func:`mix_hash_lanes`: one FNV chain per *row*.
-
-    ``prefixes`` is a sequence of prefix tuples (one per warp in a
-    cohort); row ``w``, element ``i`` equals
-    ``mix_hash(*prefixes[w], i, *suffix)``.  The per-row prefix folds
-    are scalar (prefixes differ per warp), but the lane fold and every
-    suffix fold run once over the whole (warps x lanes) matrix — the
-    same uint64 headroom argument as :func:`mix_hash_lanes` applies
-    elementwise, so each row is bit-identical to the per-warp call.
-    Returns a list of rows (uint64 ndarrays when numpy is present).
-    """
-    if _np is None:
-        return [mix_hash_lanes(prefix, suffix, n) for prefix in prefixes]
-    h0s = _np.empty(len(prefixes), dtype=_np.uint64)
-    for w, prefix in enumerate(prefixes):
-        h0 = _FNV_BASIS
-        for p in prefix:
-            h0 ^= p & _MASK32
-            h0 = (h0 * _FNV_PRIME) & _MASK32
-        h0s[w] = h0
-    if n == WARP_WIDTH:
-        lanes = _LANE_IDX
-    elif n < WARP_WIDTH:
-        lanes = _LANE_IDX[:n]
-    else:
-        lanes = _np.arange(n, dtype=_np.uint64)
-    h = ((h0s[:, None] ^ lanes[None, :]) * _FNV_PRIME) & _MASK32
-    for p in suffix:
-        h = ((h ^ (p & _MASK32)) * _FNV_PRIME) & _MASK32
-    return list(h)
 
 
 _UNIFORM = ValueKind.UNIFORM

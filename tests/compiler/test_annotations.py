@@ -1,3 +1,10 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import repro
 from repro.compiler import (
     RegionConfig,
     analyze_liveness,
@@ -127,3 +134,35 @@ class TestMetadataCounts:
         k = b.build()
         ck = compile_kernel(k)
         assert all(a.n_metadata_insns == 1 for a in ck.annotations)
+
+
+_SRAD_SCRIPT = """
+import json
+from repro.harness.runner import SuiteRunner
+runner = SuiteRunner(cache=False)
+ck = runner.compiled("srad_v1")
+stats = runner.run("srad_v1", "regless").stats
+print(json.dumps({
+    "annotations": [repr(a) for a in ck.annotations],
+    "stats": [stats.cycles, stats.instructions, stats.warps_done,
+              stats.counters, stats.stalls],
+}, sort_keys=True))
+"""
+
+
+def test_srad_v1_regless_is_independent_of_hash_seed():
+    """Cache-invalidation placement must not depend on set iteration
+    order: hash seeds 0 and 1 iterate the blocks referencing one of
+    srad_v1's registers in different orders."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src,
+                   REPRO_CACHE="0")
+        proc = subprocess.run(
+            [sys.executable, "-c", _SRAD_SCRIPT],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        outputs.append(json.loads(proc.stdout))
+    assert outputs[0]["annotations"] == outputs[1]["annotations"]
+    assert outputs[0]["stats"] == outputs[1]["stats"]

@@ -1,9 +1,9 @@
 """Grid equivalence against committed golden SimStats.
 
 ``tests/golden/simstats_bfs_nw.json`` snapshots the simulated results
-(cycles, instructions, counters, stall bins) of bfs, nw and hotspot under
-all five backends from before the event-driven issue-core and
-demand-clocked component reworks.  Those reworks are pure wall-clock
+(cycles, instructions, counters, stall bins) of bfs, nw, hotspot and
+srad_v1 under all five backends.  The first three date from before the
+event-driven issue-core and demand-clocked component reworks.  Those reworks are pure wall-clock
 optimizations: simulated results must stay **bit-identical**.
 Any intentional change to simulated behavior must regenerate the golden
 (see docs/performance.md) in the same commit and say why.
@@ -22,7 +22,7 @@ GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "simstats_bfs_nw.json"
 
 _CELLS = [
     (name, backend)
-    for name in ("bfs", "nw", "hotspot")
+    for name in ("bfs", "nw", "hotspot", "srad_v1")
     for backend in ("baseline", "rfh", "rfv", "regless", "regless-nc")
 ]
 

@@ -9,8 +9,9 @@ must equal the ``REPRO_JIT=0`` interpreter run exactly.
 
 Hypothesis generates small structured kernels (loops, divergent diamonds,
 guarded writes, loads) and checks the contract on every operand-storage
-backend.  A deterministic smoke test pins the contract on one kernel per
-backend for fast failure localization.
+backend under every warp scheduler.  A deterministic smoke test pins the
+contract on one kernel per backend and scheduler for fast failure
+localization.
 """
 
 import os
@@ -32,6 +33,14 @@ from repro.workloads import Workload
 FAST = GPUConfig(warps_per_sm=8, schedulers_per_sm=2, cta_size_warps=4,
                  max_cycles=60_000)
 
+#: every ``GPUConfig.scheduler``; the two-level pool is smaller than a
+#: shard's warp count so demotion and promotion really happen.
+SCHEDULERS = {
+    "gto": FAST,
+    "lrr": FAST.with_(scheduler="lrr"),
+    "two_level": FAST.with_(scheduler="two_level", two_level_active=2),
+}
+
 FACTORIES = {
     "baseline": lambda ck: (lambda sm, sh: BaselineRF()),
     "rfh": lambda ck: (lambda sm, sh: RFHStorage(ck)),
@@ -40,14 +49,15 @@ FACTORIES = {
 }
 
 
-def _run(ck, workload, backend, jit):
+def _run(ck, workload, backend, jit, scheduler="gto"):
     """One simulation with the JIT forced on or off; returns (stats, jit_out)."""
     prev = os.environ.get("REPRO_JIT")
     os.environ["REPRO_JIT"] = "1" if jit else "0"
     try:
         jit_out = {}
         stats = run_simulation(
-            FAST, ck, workload, FACTORIES[backend](ck), jit_out=jit_out
+            SCHEDULERS[scheduler], ck, workload, FACTORIES[backend](ck),
+            jit_out=jit_out,
         )
         return stats, jit_out
     finally:
@@ -136,17 +146,22 @@ def jit_workload(draw):
                     pred_behaviors=behaviors, regalloc=False)
 
 
-@given(jit_workload(), st.sampled_from(sorted(FACTORIES)))
-@settings(max_examples=20, deadline=None)
-def test_jit_matches_interpreter_on_random_kernels(workload, backend):
+@given(jit_workload(), st.sampled_from(sorted(FACTORIES)),
+       st.sampled_from(sorted(SCHEDULERS)))
+@settings(max_examples=40, deadline=None)
+def test_jit_matches_interpreter_on_random_kernels(workload, backend,
+                                                  scheduler):
     ck = compile_kernel(workload.kernel())
-    off, _ = _run(ck, workload, backend, jit=False)
-    on, _ = _run(ck, workload, backend, jit=True)
-    _assert_identical(off, on, backend)
+    off, _ = _run(ck, workload, backend, jit=False, scheduler=scheduler)
+    on, _ = _run(ck, workload, backend, jit=True, scheduler=scheduler)
+    _assert_identical(off, on, f"{backend}/{scheduler}")
 
 
 def test_jit_arms_and_matches_on_every_backend():
-    """Deterministic pin: one kernel, all backends, JIT really armed."""
+    """Deterministic pin: one kernel, all backends under every scheduler,
+    JIT really armed.  Every warp walks the same pcs, splits at a
+    divergent diamond and re-converges after loads whose wakes land at
+    different cycles."""
     b = KernelBuilder("pin")
     b.block("entry")
     tid, out = b.reg(0), b.reg(1)
@@ -155,19 +170,35 @@ def test_jit_arms_and_matches_on_every_backend():
     b.ldg(v, tid)
     b.imad(acc, v, 3, acc)
     b.iadd(acc, acc, 7)
+    p = b.fresh_pred()
+    b.setp(p, v, 0, tag="split")
+    join = b.label()
+    b.bra(join, pred=p)
+    b.block()
+    b.iadd(acc, acc, 1)
+    b.block_named(join)
+    b.ldg(v, acc)
+    b.iadd(acc, acc, v)
     b.stg(out, acc)
     b.exit()
     workload = Workload(name="pin", build=lambda: b.build(),
-                        pred_behaviors={}, regalloc=False)
+                        pred_behaviors={"split": BernoulliLanes(0.5)},
+                        regalloc=False)
     ck = compile_kernel(workload.kernel())
     for backend in sorted(FACTORIES):
-        off, jit_off = _run(ck, workload, backend, jit=False)
-        on, jit_on = _run(ck, workload, backend, jit=True)
-        _assert_identical(off, on, backend)
-        assert not any(k.endswith(".armed") and v
-                       for k, v in jit_off.items()), backend
-        armed = [k for k, v in jit_on.items()
-                 if k.endswith(".armed") and v]
-        assert armed, f"{backend}: no shard armed the region JIT"
-        issued = sum(v for k, v in jit_on.items() if k.endswith(".issued"))
-        assert issued > 0, f"{backend}: JIT armed but issued nothing"
+        for scheduler in sorted(SCHEDULERS):
+            label = f"{backend}/{scheduler}"
+            off, jit_off = _run(ck, workload, backend, jit=False,
+                                scheduler=scheduler)
+            on, jit_on = _run(ck, workload, backend, jit=True,
+                              scheduler=scheduler)
+            _assert_identical(off, on, label)
+            assert on.counters.get("divergent_branch", 0) > 0, label
+            assert not any(k.endswith(".armed") and v
+                           for k, v in jit_off.items()), label
+            armed = [k for k, v in jit_on.items()
+                     if k.endswith(".armed") and v]
+            assert armed, f"{label}: no shard armed the region JIT"
+            issued = sum(v for k, v in jit_on.items()
+                         if k.endswith(".issued"))
+            assert issued > 0, f"{label}: JIT armed but issued nothing"

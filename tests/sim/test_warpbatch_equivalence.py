@@ -1,19 +1,18 @@
-"""Cohort batching bit-identity: batched account/issue == scalar, always.
+"""Lockstep-warp equivalence: warps walking the same pcs, one compiled path.
 
-``repro.sim.warpbatch`` layers same-pc warp-cohort batching under the
-region JIT: operand-staging checks shared across a cohort, stall
-accounting committed from covered aggregates instead of a full per-warp
-pass, and grouped RANDOM-address lane materialization through the
-widened ``values`` path.  Its contract is the same as the JIT's — with
-``REPRO_BATCH=1`` every simulated statistic must equal the
-``REPRO_BATCH=0`` run bit for bit (both under ``REPRO_JIT=1``; batching
-is a JIT sublayer).
+Cohort batching once ran warps that shared a pc as one batch under the
+region JIT.  That layer is gone; the region JIT's single compiled cycle
+loop now runs those kernels, and :meth:`GPU.collect_batch` stays only as
+the always-empty hook ``perfbench/simround.py`` still reads.  The tests
+keep their batching-era names and check what stands in its place:
 
-Hypothesis reuses the region-JIT kernel fuzzer (loops, divergent
-diamonds that split cohorts mid-region, loads whose wake events split
-and re-form cohorts) across backends and schedulers.  Deterministic
-tests pin the compat ladder (scheduler/storage/env refusals) and that
-cohorts really form on a lockstep kernel.
+* on fuzzed kernels (loops, divergent diamonds that split lockstep
+  warps, loads whose wakes split and re-join them) the compiled path
+  equals the interpreter bit for bit, driven through :class:`GPU` the
+  way the benchmark drives it;
+* the demoting two-level scheduler gets the same identity;
+* on an all-lockstep kernel the JIT arms on every shard and no
+  per-shard report grows a batch path.
 """
 
 import os
@@ -22,10 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.compiler import compile_kernel
 from repro.isa import KernelBuilder
-from repro.regfile import BaselineRF, RFHStorage, RFVStorage
-from repro.regless import ReglessStorage
-from repro.sim import GPUConfig, run_simulation
-from repro.sim.warpbatch import partition_cohorts
+from repro.sim import GPU, GPUConfig
 from repro.workloads import Workload
 
 from .test_regionjit_equivalence import (
@@ -37,35 +33,33 @@ from .test_regionjit_equivalence import (
 
 def _config(scheduler):
     return GPUConfig(warps_per_sm=8, schedulers_per_sm=2, cta_size_warps=4,
-                     max_cycles=60_000, scheduler=scheduler)
+                     max_cycles=60_000, scheduler=scheduler,
+                     two_level_active=2)
 
 
-def _run(ck, workload, backend, batch, scheduler="gto"):
-    """One REPRO_JIT=1 simulation with batching forced on or off;
-    returns (stats, batch_out)."""
-    prev_jit = os.environ.get("REPRO_JIT")
-    prev_batch = os.environ.get("REPRO_BATCH")
-    os.environ["REPRO_JIT"] = "1"
-    os.environ["REPRO_BATCH"] = "1" if batch else "0"
+def _run(ck, workload, backend, jit, scheduler="gto"):
+    """One run on a :class:`GPU` with the JIT forced on or off; returns
+    (stats, jit report, batch report)."""
+    prev = os.environ.get("REPRO_JIT")
+    os.environ["REPRO_JIT"] = "1" if jit else "0"
     try:
-        batch_out = {}
-        stats = run_simulation(
-            _config(scheduler), ck, workload, FACTORIES[backend](ck),
-            batch_out=batch_out,
-        )
-        return stats, batch_out
+        gpu = GPU(_config(scheduler), ck, workload, FACTORIES[backend](ck))
+        stats = gpu.run()
+        return stats, gpu.collect_jit(), gpu.collect_batch()
     finally:
-        for name, prev in (("REPRO_JIT", prev_jit),
-                           ("REPRO_BATCH", prev_batch)):
-            if prev is None:
-                del os.environ[name]
-            else:
-                os.environ[name] = prev
+        if prev is None:
+            del os.environ["REPRO_JIT"]
+        else:
+            os.environ["REPRO_JIT"] = prev
+
+
+def _assert_no_batch_paths(jit_report, batch_report, label):
+    assert batch_report == {}, label
+    assert not any(".batch." in key for key in jit_report), label
 
 
 def _pin_workload():
-    """All-lockstep kernel: every warp walks the same pcs — maximal
-    cohorts under GTO."""
+    """All-lockstep kernel: every warp walks the same pcs."""
     b = KernelBuilder("pin")
     b.block("entry")
     tid, out = b.reg(0), b.reg(1)
@@ -81,81 +75,50 @@ def _pin_workload():
                     pred_behaviors={}, regalloc=False)
 
 
-@given(jit_workload(), st.sampled_from(sorted(FACTORIES)))
+@given(jit_workload(), st.sampled_from(sorted(FACTORIES)),
+       st.sampled_from(["gto", "lrr"]))
 @settings(max_examples=20, deadline=None)
-def test_batch_matches_scalar_on_random_kernels(workload, backend):
+def test_batch_matches_scalar_on_random_kernels(workload, backend,
+                                               scheduler):
     ck = compile_kernel(workload.kernel())
-    off, _ = _run(ck, workload, backend, batch=False)
-    on, _ = _run(ck, workload, backend, batch=True)
-    _assert_identical(off, on, backend)
+    off, _, batch_off = _run(ck, workload, backend, jit=False,
+                             scheduler=scheduler)
+    on, jit_on, batch_on = _run(ck, workload, backend, jit=True,
+                                scheduler=scheduler)
+    label = f"{backend}/{scheduler}"
+    _assert_identical(off, on, label)
+    _assert_no_batch_paths({}, batch_off, label)
+    _assert_no_batch_paths(jit_on, batch_on, label)
 
 
 @given(jit_workload(), st.sampled_from(["baseline", "rfh"]))
 @settings(max_examples=10, deadline=None)
 def test_batch_is_inert_under_two_level_scheduler(workload, backend):
-    """The demoting scheduler refuses batching — on/off must match
-    trivially, and the refusal reason must say why."""
+    """The demoting scheduler runs the same compiled path as GTO/LRR:
+    identical to the interpreter, with no batch report."""
     ck = compile_kernel(workload.kernel())
-    off, _ = _run(ck, workload, backend, batch=False, scheduler="two_level")
-    on, out = _run(ck, workload, backend, batch=True, scheduler="two_level")
+    off, _, _ = _run(ck, workload, backend, jit=False,
+                     scheduler="two_level")
+    on, jit_on, batch_on = _run(ck, workload, backend, jit=True,
+                                scheduler="two_level")
     _assert_identical(off, on, backend)
-    reasons = {v for k, v in out.items() if k.endswith(".reason")}
-    assert reasons <= {"demoting_scheduler", "no_full_loop"}, reasons
-    assert not any(k.endswith(".armed") and v for k, v in out.items())
+    _assert_no_batch_paths(jit_on, batch_on, backend)
 
 
 def test_batch_arms_and_forms_cohorts_on_lockstep_kernel():
+    """Where cohorts used to form, the region JIT arms on every shard and
+    issues every instruction that the interpreter issues."""
     workload = _pin_workload()
     ck = compile_kernel(workload.kernel())
-    for backend in ("baseline", "regless"):
-        off, batch_off = _run(ck, workload, backend, batch=False)
-        on, batch_on = _run(ck, workload, backend, batch=True)
+    for backend in sorted(FACTORIES):
+        off, jit_off, _ = _run(ck, workload, backend, jit=False)
+        on, jit_on, batch_on = _run(ck, workload, backend, jit=True)
         _assert_identical(off, on, backend)
-        # off: every shard refused with the env reason
-        off_reasons = {v for k, v in batch_off.items()
-                       if k.endswith(".reason")}
-        assert off_reasons == {"env_off"}, backend
-        armed = [k for k, v in batch_on.items()
-                 if k.endswith(".armed") and v]
-        assert armed, f"{backend}: no shard armed cohort batching"
-        batched = sum(v for k, v in batch_on.items()
-                      if k.endswith(".batched_warps"))
-        assert batched > 0, f"{backend}: armed but formed no cohorts"
-
-
-def test_impure_storage_refuses_batching():
-    workload = _pin_workload()
-    ck = compile_kernel(workload.kernel())
-    off, _ = _run(ck, workload, "rfv", batch=False)
-    on, out = _run(ck, workload, "rfv", batch=True)
-    _assert_identical(off, on, "rfv")
-    reasons = {v for k, v in out.items() if k.endswith(".reason")}
-    assert "impure_storage" in reasons, reasons
-    assert not any(k.endswith(".armed") and v for k, v in out.items())
-
-
-# ---------------------------------------------------------------------------
-# partition_cohorts unit behavior
-
-
-def test_partition_empty_and_singleton():
-    assert partition_cohorts([], key=lambda w: w) == {}
-    groups = partition_cohorts([7], key=lambda w: w % 3)
-    assert groups == {1: [7]}
-
-
-def test_partition_all_singletons_and_one_cohort():
-    items = [10, 21, 32, 43]
-    groups = partition_cohorts(items, key=lambda w: w)
-    assert all(len(g) == 1 for g in groups.values())
-    groups = partition_cohorts(items, key=lambda w: 0)
-    assert groups == {0: [10, 21, 32, 43]}
-
-
-def test_partition_preserves_scheduler_order_within_cohort():
-    items = [("b", 2), ("a", 1), ("b", 1), ("a", 2), ("b", 3)]
-    groups = partition_cohorts(items, key=lambda w: w[0])
-    assert groups["b"] == [("b", 2), ("b", 1), ("b", 3)]
-    assert groups["a"] == [("a", 1), ("a", 2)]
-    # insertion order of the group keys follows first appearance
-    assert list(groups) == ["b", "a"]
+        assert on.finished, backend
+        assert not any(k.endswith(".armed") and v
+                       for k, v in jit_off.items()), backend
+        armed = {k: v for k, v in jit_on.items() if k.endswith(".armed")}
+        assert armed and all(armed.values()), f"{backend}: {armed}"
+        issued = sum(v for k, v in jit_on.items() if k.endswith(".issued"))
+        assert issued > 0, f"{backend}: JIT armed but issued nothing"
+        _assert_no_batch_paths(jit_on, batch_on, backend)
