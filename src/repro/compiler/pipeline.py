@@ -41,12 +41,6 @@ class CompiledKernel:
 
     # -- lookups --------------------------------------------------------------
 
-    def region_id_of_pc(self, pc: int) -> int:
-        """The rid owning ``pc``, or -1 when no region covers it (total
-        lookup used by the execution JIT; :meth:`region_of_pc` keeps the
-        raising contract for callers that require coverage)."""
-        return self._region_of_pc[pc]
-
     def region_of_pc(self, pc: int) -> Region:
         rid = self._region_of_pc[pc]
         if rid < 0:

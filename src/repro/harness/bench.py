@@ -19,11 +19,13 @@ snapshots and consumed by the CI perf-smoke step.
 from __future__ import annotations
 
 import json
+import os
 import platform
 import tempfile
 import time
 from typing import Dict, List, Optional, Sequence
 
+from ..sim import executor
 from ..workloads import workload_names
 from .cache import ResultCache
 from .parallel import RunRequest, resolve_jobs
@@ -160,6 +162,9 @@ def run_bench(
         lines.append(f"scaling sweep ({n} runs per point, cold cache each):")
         base_wall = None
         for j in SCALING_JOBS:
+            # jobs=1 runs in this process: drop the operand plans the
+            # serial leg left behind so it starts as cold as a worker.
+            executor._PLAN_CACHE.clear()
             sweep_runner = SuiteRunner(
                 cache=ResultCache(tempfile.mkdtemp(prefix="repro-bench-scale-")),
                 jobs=j,
@@ -177,8 +182,10 @@ def run_bench(
                 "runs_per_sec": round(n / max(dt, 1e-9), 3),
                 "speedup_vs_jobs1": round(speedup, 2),
             })
+            over = " (oversubscribed)" if j > (os.cpu_count() or 1) else ""
             lines.append(
                 f"  jobs={j}: {_fmt_rate(dt, n)}   {speedup:5.2f}x vs jobs=1"
+                f"{over}"
             )
 
     if json_path:
@@ -213,32 +220,7 @@ def _bench_payload(
 ) -> Dict[str, object]:
     """The ``--json`` measurement record (``BENCH_*.json`` format)."""
     runs = []
-    jit_agg = {"armed_shards": 0, "shards": 0, "compile_s": 0.0,
-               "steps": 0, "issued_via_jit": 0, "fallback_issued": 0,
-               "runs_with_jit": 0, "runs_missing_jit": 0}
     for req, res, wall in zip(requests, serial, serial_wall):
-        # A run replayed from a PR-5-era cache entry predates the ``jit``
-        # field entirely, and a ``REPRO_JIT=0`` run records an empty dict;
-        # neither may crash the grid aggregate — skip it and count it.
-        # An all-fallback run's per-shard entries carry only ``.armed`` and
-        # ``.reason`` keys, so every other counter must go through ``get``.
-        raw = getattr(res, "jit", None)
-        jit = dict(raw) if isinstance(raw, dict) else {}
-        if jit:
-            jit_agg["runs_with_jit"] += 1
-        else:
-            jit_agg["runs_missing_jit"] += 1
-        for key, val in jit.items():
-            if not key.endswith(".armed"):
-                continue
-            prefix = key[: -len("armed")]
-            jit_agg["shards"] += 1
-            jit_agg["armed_shards"] += int(bool(val))
-            jit_agg["compile_s"] += float(jit.get(prefix + "compile_s", 0.0))
-            jit_agg["steps"] += int(jit.get(prefix + "steps", 0))
-            jit_agg["issued_via_jit"] += int(jit.get(prefix + "issued", 0))
-            jit_agg["fallback_issued"] += int(
-                jit.get(prefix + "fallback_issued", 0))
         runs.append({
             "benchmark": req.benchmark,
             "backend": req.backend,
@@ -248,14 +230,14 @@ def _bench_payload(
             "warps_done": res.stats.warps_done,
             "cycles_per_sec": round(res.stats.cycles / max(wall, 1e-9), 1),
             "stall_warp_cycles": sum(res.stats.stalls.values()),
-            "jit": jit,
         })
-    jit_agg["compile_s"] = round(jit_agg["compile_s"], 4)
+    host_cores = os.cpu_count() or 1
     payload: Dict[str, object] = {
         "benchmarks": list(names),
         "backends": list(backends),
         "jobs": jobs,
         "python": platform.python_version(),
+        "host_cores": host_cores,
         "legs": {
             "serial_s": round(t_serial, 3),
             "parallel_cold_s": round(t_cold, 3),
@@ -263,11 +245,13 @@ def _bench_payload(
         },
         "serial_equals_parallel": serial_parallel_ok,
         "warm_equals_serial": warm_ok,
-        "jit": jit_agg,
         "runs": runs,
     }
     if scaling_rows is not None:
-        payload["scaling"] = list(scaling_rows)
+        payload["scaling"] = [
+            dict(row, oversubscribed=row["jobs"] > host_cores)
+            for row in scaling_rows
+        ]
     return payload
 
 

@@ -2,9 +2,9 @@
 
 The evaluation grid — (benchmark x backend x OSU capacity) — is
 embarrassingly parallel: every run is an independent cycle-level
-simulation.  :func:`run_requests` executes a batch of
+simulation.  :func:`run_requests_resilient` executes a batch of
 :class:`RunRequest`\\ s on a :class:`~concurrent.futures.ProcessPoolExecutor`
-and returns :class:`~repro.harness.runner.RunResult`\\ s in request order.
+and returns one :class:`RunOutcome` per request, in request order.
 
 Each worker process holds one private
 :class:`~repro.harness.runner.SuiteRunner` (disk cache off — the parent
@@ -17,8 +17,8 @@ Worker count resolution order: explicit argument, then ``REPRO_JOBS``, then
 Fault tolerance
 ---------------
 
-:func:`run_requests_resilient` is the hardened entry point.  It survives
-the three failure classes a long sweep actually hits:
+:func:`run_requests_resilient` survives the three failure classes a long
+sweep actually hits:
 
 * **Worker death** (OOM kill, segfault, injected ``kill``) — the pool
   raises :class:`~concurrent.futures.process.BrokenProcessPool` on *every*
@@ -47,6 +47,7 @@ import hashlib
 import heapq
 import os
 import time
+import traceback
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
@@ -76,8 +77,8 @@ __all__ = [
     "GridFailure",
     "RunOutcome",
     "RunRequest",
+    "failure_text",
     "resolve_jobs",
-    "run_requests",
     "run_requests_resilient",
 ]
 
@@ -201,10 +202,22 @@ class GridFailure(RuntimeError):
             f"{o.request.key}={o.status}" for o in self.failed[:6]
         )
         more = "" if len(self.failed) <= 6 else f" (+{len(self.failed) - 6} more)"
+        first = self.failed[0] if self.failed else None
+        error = f"; first error: {first.error}" if first and first.error else ""
         super().__init__(
             f"{len(self.failed)}/{len(self.outcomes)} grid runs failed: "
-            f"{parts}{more}"
+            f"{parts}{more}{error}"
         )
+
+
+def failure_text(exc: BaseException) -> str:
+    """A crashed run's :attr:`RunOutcome.error`: the full traceback,
+    ending in the ``Type: message`` line.  An exception re-raised from a
+    worker carries the worker's traceback as its cause, so the text names
+    the place the fault was raised on both the pooled and serial paths."""
+    return "".join(
+        traceback.format_exception(type(exc), exc, exc.__traceback__)
+    ).rstrip()
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -258,40 +271,6 @@ def _run_request(request: RunRequest) -> "RunResult":
 
 
 # -- parent side ------------------------------------------------------------
-
-
-def run_requests(
-    config: "GPUConfig",
-    energy_params: "EnergyParams",
-    requests: Sequence[RunRequest],
-    jobs: Optional[int] = None,
-    policy: Optional[FaultPolicy] = None,
-    watchdog: Optional[WatchdogConfig] = None,
-) -> List["RunResult"]:
-    """Run every request in worker processes; results in request order.
-
-    Without a ``policy`` this is the bare fast path (any failure
-    propagates).  With one, failures are retried per the policy and a
-    :class:`GridFailure` carrying partial results is raised if any request
-    still can't complete.
-    """
-    if not requests:
-        return []
-    if policy is None and watchdog is None:
-        jobs = min(resolve_jobs(jobs), len(requests))
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_init_worker,
-            initargs=(config, energy_params),
-        ) as pool:
-            return list(pool.map(_run_request, requests))
-    outcomes = run_requests_resilient(
-        config, energy_params, requests, jobs=jobs, policy=policy,
-        watchdog=watchdog,
-    )
-    if any(not o.ok for o in outcomes):
-        raise GridFailure(outcomes)
-    return [o.result for o in outcomes]  # type: ignore[misc]
 
 
 @dataclass
@@ -473,10 +452,8 @@ def run_requests_resilient(
                         record_failure(idx, RunOutcome.HUNG, str(exc), now,
                                        diagnostics=exc.diagnostics)
                     except Exception as exc:  # noqa: BLE001
-                        record_failure(
-                            idx, RunOutcome.CRASHED,
-                            f"{type(exc).__name__}: {exc}", now,
-                        )
+                        record_failure(idx, RunOutcome.CRASHED,
+                                       failure_text(exc), now)
                     else:
                         finalize(idx, RunOutcome.OK, result)
                 if broken:

@@ -39,14 +39,17 @@ from .parallel import (
     GridFailure,
     RunOutcome,
     RunRequest,
+    failure_text,
     resolve_jobs,
-    run_requests,
     run_requests_resilient,
 )
 
 __all__ = ["BACKENDS", "RunResult", "RunRequest", "SuiteRunner"]
 
 BACKENDS = ("baseline", "rfh", "rfv", "regless")
+
+#: :meth:`SuiteRunner.run_grid`'s policy when the runner has none.
+_RUN_ONCE = FaultPolicy(retries=0)
 
 #: anything :meth:`SuiteRunner.run_grid` accepts as one grid cell.
 RequestLike = Union[RunRequest, Tuple, Dict]
@@ -65,10 +68,6 @@ class RunResult:
     #: per-phase wall-clock seconds: ``compile`` / ``simulate`` / ``energy``
     #: / ``total`` (and ``cache_load`` when served from the disk cache).
     timings: Dict[str, float] = field(default_factory=dict, repr=False)
-    #: region-JIT observability (``sm0.shard1.jit.*`` paths; empty when the
-    #: run predates the JIT or came from an old cache entry — read with
-    #: ``getattr(result, "jit", {})`` when the result may be unpickled).
-    jit: Dict[str, object] = field(default_factory=dict, repr=False)
 
     @property
     def cycles(self) -> int:
@@ -95,9 +94,9 @@ class SuiteRunner:
     ``watchdog`` (a :class:`~repro.sim.watchdog.WatchdogConfig`) attaches
     a fresh forward-progress monitor to every simulation this runner
     executes — in-process and in workers alike.  ``policy`` (a
-    :class:`~repro.harness.parallel.FaultPolicy`) makes :meth:`run_grid`
-    resilient: per-run timeouts, retries with backoff, dead-worker
-    recovery, quarantine.  Harness-level events (cache evictions, grid
+    :class:`~repro.harness.parallel.FaultPolicy`) sets :meth:`run_grid`'s
+    per-run timeouts, retries with backoff and quarantine; without one,
+    each run is tried once.  Harness-level events (cache evictions, grid
     retries/failures) land in ``self.metrics`` under ``harness.*``.
     """
 
@@ -268,13 +267,11 @@ class SuiteRunner:
         # A watchdog holds per-run progress state, so every run gets a
         # fresh one built from the runner's config.
         watchdog = Watchdog(self.watchdog) if self.watchdog else None
-        jit_out: Dict[str, object] = {}
         try:
             stats = run_simulation(
                 cfg, compiled, workload, factory,
                 window_series=request.window_series,
                 watchdog=watchdog,
-                jit_out=jit_out,
             )
         finally:
             if gc_was_enabled:
@@ -301,7 +298,6 @@ class SuiteRunner:
                 "energy": t_done - t_simulated,
                 "total": t_done - t_start,
             },
-            jit=jit_out,
         )
 
     # -- grid execution --------------------------------------------------------
@@ -328,67 +324,27 @@ class SuiteRunner:
         hits.  With one effective worker (or one miss) execution stays
         in-process.
 
-        When the runner has a ``policy`` or ``watchdog``, execution goes
-        through :meth:`run_grid_outcomes`; completed runs are installed in
-        the memo/cache even when others fail, and a
+        Execution goes through :meth:`run_grid_outcomes`; completed runs
+        are installed in the memo/cache even when others fail, and a
         :class:`~repro.harness.parallel.GridFailure` carrying every
-        per-run :class:`~repro.harness.parallel.RunOutcome` is raised if
-        any request could not complete.
+        per-run :class:`~repro.harness.parallel.RunOutcome` (and the
+        first error's traceback) is raised if any request could not complete.
+        A runner without a ``policy`` tries each run once: a
+        deterministic failure is not worth retrying.
         """
-        if self.policy is not None or self.watchdog is not None:
-            outcomes = self.run_grid_outcomes(requests, jobs=jobs)
-            if any(not o.ok for o in outcomes):
-                raise GridFailure(outcomes)
-            return [o.result for o in outcomes]  # type: ignore[misc]
-        reqs = [self._normalize(r) for r in requests]
-        for req in reqs:  # validate backends before any dispatch
-            if req.backend not in BACKENDS + ("regless-nc",):
-                raise ValueError(f"unknown backend {req.backend!r}")
-        results: Dict[int, RunResult] = {}
-        pending: List[Tuple[int, RunRequest]] = []
-        seen: Dict[RunRequest, int] = {}
-        for i, req in enumerate(reqs):
-            key = self._memo_key(req)
-            if key in self._runs:
-                results[i] = self._runs[key]
-                continue
-            if self.cache is not None:
-                t0 = time.perf_counter()
-                cached = self.cache.get(self._digest(req))
-                if cached is not None:
-                    cached.timings["cache_load"] = time.perf_counter() - t0
-                    results[i] = self._install(req, cached, store=False)
-                    continue
-            if req in seen:  # duplicate miss: run once
-                pending.append((i, req))
-                continue
-            seen[req] = i
-            pending.append((i, req))
-
-        unique = [(i, req) for i, req in pending if seen.get(req) == i]
-        jobs = resolve_jobs(jobs if jobs is not None else self.jobs)
-        if unique:
-            if jobs <= 1 or len(unique) == 1:
-                for _, req in unique:
-                    self._install(req, self._execute(req))
-            else:
-                outs = run_requests(
-                    self.base_config,
-                    self.energy_model.params,
-                    [req for _, req in unique],
-                    jobs=jobs,
-                )
-                for (_, req), result in zip(unique, outs):
-                    self._install(req, result)
-        for i, req in pending:
-            results[i] = self._runs[self._memo_key(req)]
-        return [results[i] for i in range(len(reqs))]
+        outcomes = self.run_grid_outcomes(
+            requests, jobs=jobs, policy=self.policy or _RUN_ONCE
+        )
+        if any(not o.ok for o in outcomes):
+            raise GridFailure(outcomes)
+        return [o.result for o in outcomes]  # type: ignore[misc]
 
     def run_grid_outcomes(
         self,
         requests: Iterable[RequestLike],
         jobs: Optional[int] = None,
         on_outcome: Optional[Callable[[int, RunOutcome], None]] = None,
+        policy: Optional[FaultPolicy] = None,
     ) -> List[RunOutcome]:
         """Resilient grid execution: one terminal
         :class:`~repro.harness.parallel.RunOutcome` per request, never an
@@ -407,7 +363,10 @@ class SuiteRunner:
         primary resolves.  Successful results are already installed in
         the memo/disk cache by the time the callback sees them, so a
         streaming consumer observes the same state a later ``run`` would.
+
+        ``policy`` replaces the runner's own for this call.
         """
+        policy = policy or self.policy or FaultPolicy()
         reqs = [self._normalize(r) for r in requests]
         for req in reqs:
             if req.backend not in BACKENDS + ("regless-nc",):
@@ -451,7 +410,7 @@ class SuiteRunner:
         if unique:
             if jobs_n <= 1 or len(unique) == 1:
                 for _, req in unique:
-                    resolve(req, self._execute_resilient(req))
+                    resolve(req, self._execute_resilient(req, policy))
             else:
                 unique_reqs = [req for _, req in unique]
                 run_requests_resilient(
@@ -459,7 +418,7 @@ class SuiteRunner:
                     self.energy_model.params,
                     unique_reqs,
                     jobs=jobs_n,
-                    policy=self.policy,
+                    policy=policy,
                     watchdog=self.watchdog,
                     metrics=self._metrics_scope,
                     on_outcome=lambda pos, out: resolve(unique_reqs[pos], out),
@@ -468,12 +427,12 @@ class SuiteRunner:
             outcomes[i] = by_req[req]
         return [outcomes[i] for i in range(len(reqs))]
 
-    def _execute_resilient(self, request: RunRequest) -> RunOutcome:
+    def _execute_resilient(self, request: RunRequest,
+                           policy: FaultPolicy) -> RunOutcome:
         """In-process counterpart of the resilient worker loop (used when
         the grid stays serial).  A hang is only catchable here if the
         watchdog converts it into :class:`SimulationHang`; worker kills
         obviously can't be survived in-process."""
-        policy = self.policy or FaultPolicy()
         scope = self._metrics_scope
         attempts = 0
         last_error = ""
@@ -487,7 +446,7 @@ class SuiteRunner:
                 last_diagnostics = exc.diagnostics
             except Exception as exc:  # noqa: BLE001
                 kind = RunOutcome.CRASHED
-                last_error = f"{type(exc).__name__}: {exc}"
+                last_error = failure_text(exc)
             else:
                 scope.inc("grid.ok")
                 return RunOutcome(

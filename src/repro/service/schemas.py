@@ -183,7 +183,8 @@ def result_to_wire(result: "RunResult") -> Dict[str, Any]:
         "stats": stats_to_wire(result.stats),
         "energy": result.energy.as_dict(),
         "timings": {k: round(v, 6) for k, v in result.timings.items()},
-        "jit": dict(getattr(result, "jit", None) or {}),
+        # Always empty; kept only because perfbench/run.py reads it.
+        "jit": {},
     }
 
 

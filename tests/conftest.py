@@ -1,11 +1,16 @@
 """Shared fixtures: small kernels and fast simulator configurations."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.compiler import compile_kernel
 from repro.isa import KernelBuilder
-from repro.sim import GPUConfig, LoopExit, BernoulliLanes
+from repro.sim import GPU, GPUConfig, LoopExit, BernoulliLanes
 from repro.workloads import Workload
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "simstats_bfs_nw.json"
 
 
 def build_straightline():
@@ -116,3 +121,38 @@ def fast_config():
 @pytest.fixture
 def compiled_loop(loop_workload):
     return compile_kernel(loop_workload.kernel())
+
+
+class GoldenCells:
+    """Builds the :class:`GPU` of a committed golden cell exactly as
+    :class:`~repro.harness.runner.SuiteRunner` runs it, so an observer
+    can be attached before ``run()``, and checks a run against the
+    golden SimStats."""
+
+    def __init__(self):
+        from repro.harness.runner import SuiteRunner
+
+        self.runner = SuiteRunner(cache=False)
+        self.want = json.loads(GOLDEN.read_text())
+
+    def gpu(self, name, backend, watchdog=None):
+        runner = self.runner
+        compiled = runner.compiled(name)
+        return GPU(runner.config_for(backend), compiled, runner.workload(name),
+                   runner.storage_factory(backend, compiled, 512),
+                   watchdog=watchdog)
+
+    def check(self, stats, name, backend):
+        want = self.want[f"{name}/{backend}"]
+        label = f"{name}/{backend}"
+        assert stats.finished, label
+        assert stats.cycles == want["cycles"], label
+        assert stats.instructions == want["instructions"], label
+        assert stats.warps_done == want["warps_done"], label
+        assert stats.counters == want["counters"], label
+        assert stats.stalls == want["stalls"], label
+
+
+@pytest.fixture(scope="session")
+def golden_cells():
+    return GoldenCells()

@@ -1,17 +1,17 @@
-"""``bench --json`` over a mixed grid of JIT-aware and JIT-less runs.
+"""``bench --json`` over results that carry stale observability fields.
 
-Regression: the grid JIT aggregate used to assume every
-:class:`RunResult` carried a ``jit`` dict.  Results replayed from a
-PR-5-era cache entry predate the field entirely, and ``REPRO_JIT=0``
-runs record an empty dict — both must be skipped and counted, never
-crash the payload build.  A cache entry written while runs still
-recorded cohort-batching telemetry carries a ``batch`` attribute the
-current :class:`RunResult` no longer declares; the payload ignores it.
+Runs once recorded region-JIT (``jit``) and cohort-batching (``batch``)
+telemetry on :class:`RunResult`.  Both layers are deleted, and the
+current :class:`RunResult` declares neither field, but a result
+unpickled from an older cache entry still carries them as plain
+attributes, in every shape the layers recorded.  The payload must build,
+stay JSON-serializable and carry no ``jit`` or ``batch`` block.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import pickle
 from types import SimpleNamespace
 
@@ -27,26 +27,27 @@ def fake_result(jit="absent"):
         stalls={"barrier": 10, "scoreboard": 5},
     )
     result = SimpleNamespace(stats=stats, timings={})
-    if jit != "absent":  # "absent" models a pre-jit-era cache entry
+    if jit != "absent":  # "absent" models a result that never had it
         result.jit = jit
     return result
 
 
-def cached_result_with_batch():
+def cached_result_with_stale_fields():
     """A real :class:`RunResult` as an older cache entry unpickles: it
-    still carries the ``batch`` observability dict that runs recorded
-    while the cohort-batching layer existed."""
+    still carries the ``jit`` and ``batch`` dicts runs recorded while
+    those layers existed."""
     stats = SimStats(cycles=1000, instructions=500, warps_done=8,
                      warps_total=8, counters={}, finished=True,
                      stalls={"barrier": 10, "scoreboard": 5})
     result = RunResult(benchmark="bfs", backend="baseline", osu_entries=512,
-                       stats=stats, compiled=None, energy=None, jit=JIT)
+                       stats=stats, compiled=None, energy=None)
+    result.jit = dict(JIT)
     result.batch = {"sm0.shard0.batch.armed": 1,
                     "sm0.shard0.batch.batched_warps": 30}
     return pickle.loads(pickle.dumps(result))
 
 
-def build_payload(results):
+def build_payload(results, scaling_rows=None):
     requests = [RunRequest.make("bfs", "baseline") for _ in results]
     return _bench_payload(
         names=["bfs"],
@@ -60,6 +61,7 @@ def build_payload(results):
         t_warm=0.1,
         serial_parallel_ok=True,
         warm_ok=True,
+        scaling_rows=scaling_rows,
     )
 
 
@@ -67,33 +69,47 @@ JIT = {"0.armed": 1, "0.compile_s": 0.125, "0.steps": 10,
        "0.issued": 100, "0.fallback_issued": 3}
 
 
-def test_mixed_grid_does_not_crash_and_counts_missing():
-    payload = build_payload([
-        fake_result(jit=JIT),          # modern run with JIT telemetry
-        fake_result(jit="absent"),     # PR-5-era cache entry: no field
-        fake_result(jit={}),           # REPRO_JIT=0 run: empty dict
-        fake_result(jit=None),         # defensive: explicit None
-        cached_result_with_batch(),    # cache entry with a stale batch dict
-    ])
-    agg = payload["jit"]
-    assert agg["runs_with_jit"] == 2
-    assert agg["runs_missing_jit"] == 3
-    assert agg["shards"] == 2
-    assert agg["armed_shards"] == 2
-    assert agg["issued_via_jit"] == 200
-    assert agg["fallback_issued"] == 6
-    assert agg["compile_s"] == 0.25
+def assert_no_stale_blocks(payload):
+    assert "jit" not in payload
     assert "batch" not in payload
-    assert all("batch" not in run for run in payload["runs"])
-    json.dumps(payload)
+    for run in payload["runs"]:
+        assert "jit" not in run
+        assert "batch" not in run
+    json.dumps(payload)  # the whole record must stay JSON-serializable
+
+
+def test_mixed_grid_does_not_crash_and_counts_missing():
+    """A grid mixing every shape of stale ``jit`` attribute builds one
+    run record per result, the same records a clean grid builds."""
+    stale = build_payload([
+        fake_result(jit=JIT),                # armed-shard JIT report
+        fake_result(jit="absent"),           # never had the field
+        fake_result(jit={}),                 # interpreter-run report
+        fake_result(jit=None),               # defensive: explicit None
+        cached_result_with_stale_fields(),   # unpickled RunResult
+    ])
+    assert_no_stale_blocks(stale)
+    assert len(stale["runs"]) == 5
+    clean = build_payload([fake_result() for _ in range(5)])
+    assert stale["runs"] == clean["runs"]
+
+
+def test_jitless_runs_serialize_with_empty_jit():
+    """A run that never had a ``jit`` attribute and one whose report is
+    empty build the same JSON-serializable record, with no ``jit`` key."""
+    jitless = build_payload([fake_result(jit="absent")])
+    empty = build_payload([fake_result(jit={})])
+    assert_no_stale_blocks(jitless)
+    assert jitless == empty
+    assert json.loads(json.dumps(jitless))["runs"] == jitless["runs"]
 
 
 def test_batch_aggregate_tolerates_fallback_and_missing():
     """Older cache entries carry ``batch`` dicts of every shape the
     cohort-batching layer recorded: counters of an armed shard, a
     fallback shard's ``.armed``/``.reason`` pair, or an empty dict.  None
-    of them reaches the payload, none shifts the JIT aggregate, and a
-    run that never had the attribute builds the same payload."""
+    of them reaches the payload, and a grid that never had the attribute
+    builds the same payload."""
     armed = fake_result(jit=JIT)
     armed.batch = {"sm0.shard0.batch.armed": 1,
                    "sm0.shard0.batch.cohorts": 7,
@@ -105,30 +121,20 @@ def test_batch_aggregate_tolerates_fallback_and_missing():
     empty = fake_result(jit={})
     empty.batch = {}
     with_batch = build_payload([armed, fallback, fake_result(), empty])
-    without = build_payload([fake_result(jit=JIT), fake_result(jit=JIT),
-                             fake_result(), fake_result(jit={})])
-    assert "batch" not in with_batch
-    assert all("batch" not in run for run in with_batch["runs"])
-    assert with_batch["jit"] == without["jit"]
-    assert with_batch["runs"] == without["runs"]
-    assert with_batch["jit"]["runs_with_jit"] == 2
-    assert with_batch["jit"]["runs_missing_jit"] == 2
-    json.dumps(with_batch)
-
-
-def test_jitless_runs_serialize_with_empty_jit():
-    payload = build_payload([fake_result(jit="absent")])
-    assert payload["runs"][0]["jit"] == {}
-    json.dumps(payload)  # the whole record must stay JSON-serializable
-
-
-def test_all_jit_grid_counts_no_missing():
-    payload = build_payload([fake_result(jit=JIT), fake_result(jit=JIT)])
-    assert payload["jit"]["runs_missing_jit"] == 0
-    assert payload["jit"]["runs_with_jit"] == 2
-    assert payload["jit"]["shards"] == 2
+    without = build_payload([fake_result() for _ in range(4)])
+    assert_no_stale_blocks(with_batch)
+    assert with_batch == without
 
 
 def test_scaling_block_only_present_when_swept():
-    without = build_payload([fake_result(jit=JIT)])
+    cores = os.cpu_count() or 1
+    without = build_payload([fake_result()])
     assert "scaling" not in without
+    assert without["host_cores"] == cores
+    rows = [{"jobs": j, "runs": 1, "wall_s": 1.0, "runs_per_sec": 1.0,
+             "speedup_vs_jobs1": 1.0} for j in (1, cores, cores + 1)]
+    swept = build_payload([fake_result()], scaling_rows=rows)
+    assert swept["host_cores"] == cores
+    assert [row["jobs"] for row in swept["scaling"]] == [1, cores, cores + 1]
+    assert [row["oversubscribed"] for row in swept["scaling"]] == [
+        False, False, True]

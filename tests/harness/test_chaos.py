@@ -168,6 +168,47 @@ class TestWorkerDeath:
         # partial results installed despite the failure
         assert failure.outcomes[1].result is runner.run("bfs", "baseline")
 
+    def test_no_policy_tries_once_and_raises_grid_failure(self, tmp_path):
+        """Without a policy a deterministic failure is not retried: one
+        attempt, then a :class:`GridFailure` that carries the error with
+        the worker's traceback of the place it was raised."""
+        specs = [FaultSpec("raise", "bfs/regless", count=1000)]
+        with injected_faults(specs, str(tmp_path / "claims")):
+            runner = SuiteRunner(cache=False)
+            with pytest.raises(GridFailure) as ei:
+                runner.run_grid([("bfs", "regless"), ("bfs", "baseline")],
+                                jobs=2)
+        failed, healthy = ei.value.outcomes
+        assert failed.status == RunOutcome.CRASHED
+        assert failed.attempts == 1
+        assert "InjectedFault: injected fault on bfs/regless" in \
+            failed.error.splitlines()[-1]
+        assert 'faults.py", line' in failed.error
+        assert "in maybe_fire" in failed.error
+        assert "in maybe_fire" in str(ei.value)
+        assert healthy.status == RunOutcome.OK
+
+    def test_serial_failure_keeps_traceback(self, monkeypatch):
+        """The in-process path records the traceback too."""
+        def broken_step():
+            raise ValueError("broken step")
+
+        def execute(self, request):
+            if request.backend == "regless":
+                broken_step()
+            return real_execute(self, request)
+
+        real_execute = SuiteRunner._execute
+        monkeypatch.setattr(SuiteRunner, "_execute", execute)
+        runner = SuiteRunner(cache=False)
+        with pytest.raises(GridFailure) as ei:
+            runner.run_grid([("bfs", "regless"), ("bfs", "baseline")], jobs=1)
+        failed, healthy = ei.value.outcomes
+        assert failed.attempts == 1
+        assert failed.error.splitlines()[-1] == "ValueError: broken step"
+        assert "in broken_step" in failed.error
+        assert healthy.status == RunOutcome.OK
+
 
 # -- run hangs ----------------------------------------------------------------
 

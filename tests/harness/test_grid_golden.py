@@ -11,14 +11,9 @@ Any intentional change to simulated behavior must regenerate the golden
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pytest
 
-from repro.harness.runner import SuiteRunner
-
-GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "simstats_bfs_nw.json"
+from repro.sim.watchdog import Watchdog, WatchdogConfig
 
 _CELLS = [
     (name, backend)
@@ -27,26 +22,21 @@ _CELLS = [
 ]
 
 
-@pytest.fixture(scope="module")
-def golden():
-    return json.loads(GOLDEN.read_text())
-
-
-@pytest.fixture(scope="module")
-def runner():
+@pytest.mark.parametrize("name,backend", _CELLS)
+def test_simstats_match_golden(golden_cells, name, backend):
     # One runner for the whole grid: the compiled kernels are shared
     # across backends, the disk cache is bypassed so the simulator
     # actually runs.
-    return SuiteRunner(cache=False)
+    stats = golden_cells.runner.run(name, backend).stats
+    golden_cells.check(stats, name, backend)
 
 
-@pytest.mark.parametrize("name,backend", _CELLS)
-def test_simstats_match_golden(runner, golden, name, backend):
-    want = golden[f"{name}/{backend}"]
-    stats = runner.run(name, backend).stats
-    assert stats.finished
-    assert stats.cycles == want["cycles"]
-    assert stats.instructions == want["instructions"]
-    assert stats.warps_done == want["warps_done"]
-    assert stats.counters == want["counters"]
-    assert stats.stalls == want["stalls"]
+def test_sanitized_run_matches_golden(golden_cells):
+    """A golden cell under the invariant sanitizer (polled every 64
+    run-loop iterations) runs clean and matches the golden."""
+    watchdog = Watchdog(WatchdogConfig(invariants=True, check_interval=64))
+    gpu = golden_cells.gpu("bfs", "regless", watchdog=watchdog)
+    stats = gpu.run()
+    assert watchdog.polls > 0
+    assert watchdog.trips == 0
+    golden_cells.check(stats, "bfs", "regless")

@@ -53,10 +53,14 @@ class TestStateSampler:
         with pytest.raises(RuntimeError):
             sampler.attach(gpu)
 
-    def test_sampling_does_not_change_results(self, loop_workload, fast_config):
-        plain = make_gpu(loop_workload, fast_config).run()
-        gpu = make_gpu(loop_workload, fast_config)
-        StateSampler(period=10).attach(gpu)
-        sampled = gpu.run()
-        assert plain.cycles == sampled.cycles
-        assert plain.counters == sampled.counters
+    def test_sampling_does_not_change_results(self, golden_cells):
+        """Sampled golden cells match the committed golden SimStats.  The
+        sampler needs RegLess shards, so the two cells are bfs on RegLess
+        with and without the compressor."""
+        for backend in ("regless", "regless-nc"):
+            gpu = golden_cells.gpu("bfs", backend)
+            sampler = StateSampler(period=10)
+            sampler.attach(gpu)
+            stats = gpu.run()
+            assert sampler.samples, backend
+            golden_cells.check(stats, "bfs", backend)

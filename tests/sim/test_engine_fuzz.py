@@ -1,33 +1,33 @@
-"""Region-JIT bit-identity: compiled steps == interpreter, any kernel.
-
-The region JIT (``repro.sim.regionjit``) replaces the shard's interpreted
-issue path with per-pc compiled step functions plus generated
-``cycle``/``reevaluate``/``_account_stalls``/writeback bodies.  Its
-correctness contract is *bit identity*: with ``REPRO_JIT=1`` every
-simulated statistic — cycles, instructions, counters, stall attribution —
-must equal the ``REPRO_JIT=0`` interpreter run exactly.
+"""The one issue engine on any kernel, backend and scheduler.
 
 Hypothesis generates small structured kernels (loops, divergent diamonds,
-guarded writes, loads) and checks the contract on every operand-storage
-backend under every warp scheduler.  A deterministic smoke test pins the
-contract on one kernel per backend and scheduler for fast failure
-localization.
+guarded writes, loads) and runs them on every operand-storage backend
+under every warp scheduler.  Each run must:
+
+* finish (every warp exits before the cycle ceiling);
+* leave the issue core's redundant state consistent
+  (:func:`~repro.sim.watchdog.check_invariants` reports nothing);
+* conserve stall attribution on every shard
+  (``sum(bins) == warps x cycles``);
+* be deterministic: a second :class:`GPU` built from a pickled and
+  unpickled copy of the compiled kernel (as a worker process receives
+  it) gives identical :class:`SimStats`.
+
+A deterministic pin kernel checks the same on every backend and
+scheduler for fast failure localization.
 """
 
-import os
+import pickle
 
 from hypothesis import given, settings, strategies as st
 
 from repro.compiler import compile_kernel
 from repro.isa import KernelBuilder
+from repro.obs.stalls import check_conservation
 from repro.regfile import BaselineRF, RFHStorage, RFVStorage
 from repro.regless import ReglessStorage
-from repro.sim import (
-    BernoulliLanes,
-    GPUConfig,
-    LoopExit,
-    run_simulation,
-)
+from repro.sim import GPU, BernoulliLanes, GPUConfig, LoopExit
+from repro.sim.watchdog import check_invariants
 from repro.workloads import Workload
 
 FAST = GPUConfig(warps_per_sm=8, schedulers_per_sm=2, cta_size_warps=4,
@@ -49,38 +49,35 @@ FACTORIES = {
 }
 
 
-def _run(ck, workload, backend, jit, scheduler="gto"):
-    """One simulation with the JIT forced on or off; returns (stats, jit_out)."""
-    prev = os.environ.get("REPRO_JIT")
-    os.environ["REPRO_JIT"] = "1" if jit else "0"
-    try:
-        jit_out = {}
-        stats = run_simulation(
-            SCHEDULERS[scheduler], ck, workload, FACTORIES[backend](ck),
-            jit_out=jit_out,
-        )
-        return stats, jit_out
-    finally:
-        if prev is None:
-            del os.environ["REPRO_JIT"]
-        else:
-            os.environ["REPRO_JIT"] = prev
+def _run(ck, workload, backend, scheduler="gto"):
+    """One simulation; returns (stats, the GPU after the run)."""
+    gpu = GPU(SCHEDULERS[scheduler], ck, workload, FACTORIES[backend](ck))
+    return gpu.run(), gpu
 
 
-def _assert_identical(off, on, label):
-    assert on.cycles == off.cycles, label
-    assert on.instructions == off.instructions, label
-    assert on.warps_done == off.warps_done, label
-    assert on.finished == off.finished, label
-    assert on.counters == off.counters, label
-    assert on.stalls == off.stalls, label
+def _check_run(ck, workload, backend, scheduler):
+    """Run twice (second time on an unpickled kernel) and check the
+    engine's contract; returns the first run's stats."""
+    label = f"{backend}/{scheduler}"
+    stats, gpu = _run(ck, workload, backend, scheduler)
+    assert stats.finished, label
+    assert stats.warps_done == stats.warps_total, label
+    assert check_invariants(gpu) == [], label
+    assert stats.stall_shards, label
+    for report in stats.stall_shards:
+        check_conservation(report)
+        assert report["cycles"] == stats.cycles, label
+    again, _ = _run(pickle.loads(pickle.dumps(ck)), workload, backend,
+                    scheduler)
+    assert again == stats, label
+    return stats
 
 
 @st.composite
-def jit_workload(draw):
+def fuzz_workload(draw):
     """Small structured kernel: optional loop, arithmetic soup, optional
     divergent diamond and guarded writes, loads and stores."""
-    b = KernelBuilder("jitfuzz")
+    b = KernelBuilder("fuzz")
     b.block("entry")
     tid, out = b.reg(0), b.reg(1)
     acc = b.fresh()
@@ -142,26 +139,23 @@ def jit_workload(draw):
 
     b.stg(out, acc)
     b.exit()
-    return Workload(name="jitfuzz", build=lambda: b.build(),
+    return Workload(name="fuzz", build=lambda: b.build(),
                     pred_behaviors=behaviors, regalloc=False)
 
 
-@given(jit_workload(), st.sampled_from(sorted(FACTORIES)),
+@given(fuzz_workload(), st.sampled_from(sorted(FACTORIES)),
        st.sampled_from(sorted(SCHEDULERS)))
 @settings(max_examples=40, deadline=None)
-def test_jit_matches_interpreter_on_random_kernels(workload, backend,
-                                                  scheduler):
+def test_random_kernels_run_clean_and_deterministic(workload, backend,
+                                                     scheduler):
     ck = compile_kernel(workload.kernel())
-    off, _ = _run(ck, workload, backend, jit=False, scheduler=scheduler)
-    on, _ = _run(ck, workload, backend, jit=True, scheduler=scheduler)
-    _assert_identical(off, on, f"{backend}/{scheduler}")
+    _check_run(ck, workload, backend, scheduler)
 
 
-def test_jit_arms_and_matches_on_every_backend():
-    """Deterministic pin: one kernel, all backends under every scheduler,
-    JIT really armed.  Every warp walks the same pcs, splits at a
-    divergent diamond and re-converges after loads whose wakes land at
-    different cycles."""
+def test_pin_kernel_runs_clean_on_every_backend_and_scheduler():
+    """Deterministic pin: one kernel, all backends under every scheduler.
+    Every warp walks the same pcs, splits at a divergent diamond and
+    re-converges after loads whose wakes land at different cycles."""
     b = KernelBuilder("pin")
     b.block("entry")
     tid, out = b.reg(0), b.reg(1)
@@ -187,18 +181,7 @@ def test_jit_arms_and_matches_on_every_backend():
     ck = compile_kernel(workload.kernel())
     for backend in sorted(FACTORIES):
         for scheduler in sorted(SCHEDULERS):
+            stats = _check_run(ck, workload, backend, scheduler)
             label = f"{backend}/{scheduler}"
-            off, jit_off = _run(ck, workload, backend, jit=False,
-                                scheduler=scheduler)
-            on, jit_on = _run(ck, workload, backend, jit=True,
-                              scheduler=scheduler)
-            _assert_identical(off, on, label)
-            assert on.counters.get("divergent_branch", 0) > 0, label
-            assert not any(k.endswith(".armed") and v
-                           for k, v in jit_off.items()), label
-            armed = [k for k, v in jit_on.items()
-                     if k.endswith(".armed") and v]
-            assert armed, f"{label}: no shard armed the region JIT"
-            issued = sum(v for k, v in jit_on.items()
-                         if k.endswith(".issued"))
-            assert issued > 0, f"{label}: JIT armed but issued nothing"
+            assert stats.counters.get("divergent_branch", 0) > 0, label
+            assert stats.instructions > 0, label
